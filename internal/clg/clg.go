@@ -9,11 +9,19 @@
 // The naive deadlock detection algorithm is then simply: the program may
 // deadlock only if its CLG has a directed cycle (for loop-free programs,
 // obtained via cfg.Unroll when necessary).
+//
+// Sync edges are recorded positionally, not in a set: Build appends every
+// sync-derived edge after all internal and control edges, so the sync
+// edges leaving u are exactly G.Succ(u)[SyncStart(u):]. The refined
+// detectors' masked strong-component searches test an edge's kind by
+// comparing its index, with no lookup per edge. The graph is read-only
+// after Build; adding edges to G would invalidate the index.
 package clg
 
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -36,19 +44,17 @@ type CLG struct {
 	// IsIn marks CLG nodes that are incoming halves.
 	IsIn []bool
 
-	syncEdges map[int64]bool
+	// syncStart[u] is the index in G.Succ(u) of u's first sync edge.
+	syncStart []int
 }
-
-func key(u, v int) int64 { return int64(u)<<32 | int64(uint32(v)) }
 
 // Build constructs the CLG of a sync graph by the paper's six steps.
 func Build(s *sg.Graph) *CLG {
 	c := &CLG{
-		SG:        s,
-		G:         graph.New(0),
-		In:        make([]int, s.N()),
-		Out:       make([]int, s.N()),
-		syncEdges: map[int64]bool{},
+		SG:  s,
+		G:   graph.New(0),
+		In:  make([]int, s.N()),
+		Out: make([]int, s.N()),
 	}
 	add := func(orig int, isIn bool) int {
 		id := c.G.AddNode()
@@ -88,12 +94,20 @@ func Build(s *sg.Graph) *CLG {
 		}
 	}
 
-	// Step 6: sync edges, both directions.
+	// Step 6: sync edges, both directions, appended after every other
+	// edge so each node's sync edges form the tail of its successor list.
+	// A sync edge runs _o -> _i, which no internal (_o -> _i of one node)
+	// or control (_i or b -> _o or e) edge does, so AddEdgeUnique only
+	// ever drops repeated sync edges.
+	c.syncStart = make([]int, c.G.N())
+	for u := range c.syncStart {
+		c.syncStart[u] = len(c.G.Succ(u))
+	}
 	for u, adj := range s.Sync {
 		for _, v := range adj {
 			if u < v {
-				c.addSync(c.Out[u], c.In[v])
-				c.addSync(c.Out[v], c.In[u])
+				c.G.AddEdgeUnique(c.Out[u], c.In[v])
+				c.G.AddEdgeUnique(c.Out[v], c.In[u])
 			}
 		}
 	}
@@ -109,27 +123,46 @@ func BuildTraced(s *sg.Graph, span *obs.Span) *CLG {
 	if span != nil {
 		span.Add("clg_nodes", int64(c.G.N()))
 		span.Add("clg_edges", int64(c.G.M()))
-		span.Add("clg_sync_edges", int64(len(c.syncEdges)))
+		span.Add("clg_sync_edges", int64(c.NumSyncEdges()))
 	}
 	return c
 }
 
-func (c *CLG) addSync(u, v int) {
-	c.G.AddEdgeUnique(u, v)
-	c.syncEdges[key(u, v)] = true
-}
+// SyncStart returns the index in G.Succ(u) where u's sync-derived edges
+// begin: G.Succ(u)[SyncStart(u):] are sync edges, the rest are internal
+// and control edges.
+func (c *CLG) SyncStart(u int) int { return c.syncStart[u] }
 
 // IsSyncEdge reports whether the CLG edge u->v derives from a sync edge.
-func (c *CLG) IsSyncEdge(u, v int) bool { return c.syncEdges[key(u, v)] }
+func (c *CLG) IsSyncEdge(u, v int) bool {
+	for _, w := range c.G.Succ(u)[c.syncStart[u]:] {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
+// NumSyncEdges returns the number of sync-derived CLG edges.
+func (c *CLG) NumSyncEdges() int {
+	n := 0
+	for u, start := range c.syncStart {
+		n += len(c.G.Succ(u)) - start
+	}
+	return n
+}
 
 // N returns the CLG node count.
 func (c *CLG) N() int { return c.G.N() }
 
-// SizeBytes approximates the CLG's resident footprint (node maps,
-// adjacency, sync-edge set), for byte-budgeted caches.
+// SizeBytes approximates the CLG's resident footprint, for byte-budgeted
+// caches: the adjacency in both directions, the node maps and the sync
+// index, each counted by capacity.
 func (c *CLG) SizeBytes() int64 {
-	n, m := int64(c.G.N()), int64(c.G.M())
-	return n*(3*8+1) + m*8 + int64(len(c.syncEdges))*24
+	const word = 8
+	sz := int64(unsafe.Sizeof(*c)) + c.G.SizeBytes()
+	sz += int64(cap(c.In)+cap(c.Out)+cap(c.Orig)+cap(c.syncStart)) * word
+	return sz + int64(cap(c.IsIn))
 }
 
 // M returns the CLG edge count.

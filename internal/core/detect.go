@@ -20,11 +20,15 @@
 // Execution model: the refined detectors all test streams of independent
 // hypotheses, so they run on the parallel sweep engine in sweep.go —
 // per-worker probe state, deterministic merge, verdicts byte-identical to
-// serial runs. See the Analyzer doc for the concurrency contract.
+// serial runs. See the Analyzer doc for the concurrency contract. Each
+// hypothesis is one masked strong-component search (probe.go) that reads
+// the CLG's positional sync index instead of looking edges up, and
+// allocates nothing unless it yields a witness not seen before.
 package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"repro/internal/clg"
@@ -320,40 +324,32 @@ func (a *Analyzer) recordVerdict(v Verdict) {
 	}
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // witnessSet accumulates witness node lists, deduplicating by content
 // while preserving first-seen order. Keys are varint-packed so dedup is
-// O(total witness length), not quadratic in the number of witnesses.
+// O(total witness length), not quadratic in the number of witnesses. The
+// key is built in reused scratch and looked up without allocating; a
+// witness and its key are copied only when the witness is new.
 type witnessSet struct {
-	keys map[string]bool
-	list [][]int
+	index map[string]int // key -> position in list
+	list  [][]int
+	key   []byte
 }
 
-func (ws *witnessSet) add(w []int) {
-	k := witnessKey(w)
-	if ws.keys == nil {
-		ws.keys = map[string]bool{}
-	}
-	if ws.keys[k] {
-		return
-	}
-	ws.keys[k] = true
-	ws.list = append(ws.list, w)
-}
-
-func witnessKey(w []int) string {
-	buf := make([]byte, 0, 4*len(w))
-	var tmp [binary.MaxVarintLen64]byte
+// add records a copy of w unless an equal list is already present, and
+// returns the stored list. w may be caller scratch.
+func (ws *witnessSet) add(w []int) []int {
+	ws.key = ws.key[:0]
 	for _, v := range w {
-		buf = append(buf, tmp[:binary.PutVarint(tmp[:], int64(v))]...)
+		ws.key = binary.AppendVarint(ws.key, int64(v))
 	}
-	return string(buf)
+	if i, ok := ws.index[string(ws.key)]; ok {
+		return ws.list[i]
+	}
+	if ws.index == nil {
+		ws.index = map[string]int{}
+	}
+	w = slices.Clone(w)
+	ws.index[string(ws.key)] = len(ws.list)
+	ws.list = append(ws.list, w)
+	return w
 }

@@ -98,7 +98,14 @@ func (a *Analyzer) RefinedKPairs(k int, budget KPairsBudget) Verdict {
 			sub.SCCRuns += v.SCCRuns
 			if v.MayDeadlock {
 				sub.MayDeadlock = true
-				sub.Witnesses = append(sub.Witnesses, v.Witnesses...)
+				var merged witnessSet
+				for _, w := range sub.Witnesses {
+					merged.add(w)
+				}
+				for _, w := range v.Witnesses {
+					merged.add(w)
+				}
+				sub.Witnesses = merged.list
 			}
 			sub.Algorithm = AlgoRefinedKPairs
 			return sub

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,37 @@ func TestKPairsBudgetFallback(t *testing.T) {
 	v2 := a2.RefinedKPairs(3, KPairsBudget{MaxSmallCycles: 1})
 	if len(v2.Witnesses) != 0 && !v2.MayDeadlock {
 		t.Fatal("inconsistent verdict")
+	}
+
+	// The fallback merges the k-1 verdict's witnesses with the k sets
+	// already tested; the merged list must stay deduplicated. These
+	// inputs used to report the same component twice.
+	for _, tc := range []struct {
+		name  string
+		g     *sg.Graph
+		limit int
+		want  int
+	}{
+		{"Ring(6)", sg.MustFromProgram(workload.Ring(6)), 1, 1},
+		{"Ring(6)", sg.MustFromProgram(workload.Ring(6)), 2, 1},
+		{"Ring(6)", sg.MustFromProgram(workload.Ring(6)), 5, 1},
+		{"CrossRing(4,2)", sg.MustFromProgram(workload.CrossRing(4, 2)), 20, 6},
+	} {
+		v := NewAnalyzer(tc.g).RefinedKPairs(3, KPairsBudget{MaxHypothesisSets: tc.limit})
+		if !v.MayDeadlock {
+			t.Fatalf("%s limit %d: budget fallback lost the deadlock", tc.name, tc.limit)
+		}
+		seen := map[string]bool{}
+		for _, w := range v.Witnesses {
+			k := fmt.Sprint(w)
+			if seen[k] {
+				t.Fatalf("%s limit %d: duplicate witness %v in %v", tc.name, tc.limit, w, v.Witnesses)
+			}
+			seen[k] = true
+		}
+		if len(v.Witnesses) != tc.want {
+			t.Fatalf("%s limit %d: %d witnesses, want %d", tc.name, tc.limit, len(v.Witnesses), tc.want)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/obs"
 )
 
@@ -31,7 +29,7 @@ type probe struct {
 	index    []int
 	low      []int
 	onStack  []bool
-	compOf   []int
+	compMark []int // == sccEpoch: member of the last search's component
 	stack    []int
 	frames   []sccFrame
 	compBuf  []int // component members of the last search (reused)
@@ -39,6 +37,7 @@ type probe struct {
 	// Witness mapping scratch (sync-graph node ids).
 	witEpoch int
 	witSeen  []int
+	witBuf   []int
 
 	// Marking-rule work counters, accumulated locally and folded into the
 	// coordinator's trace span after a sweep (sums are order-independent,
@@ -49,9 +48,13 @@ type probe struct {
 	hypothesesRun int64
 }
 
+// sccFrame is one node of the iterative Tarjan search: the node, the
+// next edge of G.Succ(v) to scan, the index where its sync edges begin,
+// and the end of its usable edges (SyncStart when sync traversal out of
+// v is barred). Frames hold no pointers, so pushing one costs no GC
+// write barrier.
 type sccFrame struct {
-	v  int
-	ei int
+	v, ei, sync, end int
 }
 
 // newProbe returns a probe sized for the analyzer's CLG, drawing from the
@@ -71,7 +74,7 @@ func (a *Analyzer) newProbe() *probe {
 		index:       make([]int, n),
 		low:         make([]int, n),
 		onStack:     make([]bool, n),
-		compOf:      make([]int, n),
+		compMark:    make([]int, n),
 		witSeen:     make([]int, a.SG.N()),
 	}
 }
@@ -157,131 +160,130 @@ func (p *probe) markHeadTail(h, t int) {
 	p.prunedNcx += int64(len(ncxH) + len(ncxT))
 }
 
+// inComp reports whether v belongs to the component of the last search.
+func (p *probe) inComp(v int) bool { return p.compMark[v] == p.sccEpoch }
+
 // sccThrough runs a masked strong-component search and returns the set of
 // CLG nodes in the component containing start, when that component is
 // nontrivial (contains a cycle). Nil means start lies on no cycle under
-// the current markings. The returned slice is probe-owned scratch, valid
-// only until the probe's next search.
+// the current markings. The search covers only nodes reachable from
+// start and reuses the probe's epoch-stamped scratch; the returned slice
+// is probe-owned, in no particular order, and valid only until the
+// probe's next search. inComp answers membership in it in constant time.
+//
+// An edge u->w is usable unless w is blocked or the edge is a sync edge
+// (index at or past CLG.SyncStart(u)) with sync traversal barred out of
+// u or into w. The out-of-u test is per source, so it is hoisted: a frame
+// whose node lost sync traversal scans only the edges before SyncStart.
 func (p *probe) sccThrough(start int) []int {
-	comp, ok := p.maskedSCC(start)
-	if !ok {
-		return nil
-	}
-	return comp
-}
-
-// maskedSCC computes the strongly-connected component of start in the CLG
-// under the probe's markings, restricted to nodes reachable from start,
-// reusing the probe's epoch-stamped scratch. Returns the component members
-// (ascending CLG ids) and whether the component is nontrivial.
-func (p *probe) maskedSCC(start int) ([]int, bool) {
 	if p.isBlocked(start) {
-		return nil, false
+		return nil
 	}
 	c := p.a.CLG
 	g := c.G
-	n := g.N()
+	mark := p.epoch
+	blocked, noSyncInto := p.blocked, p.noSyncInto
+	visited, index, low, onStack := p.visited, p.index, p.low, p.onStack
 	p.sccEpoch++
 	epoch := p.sccEpoch
-	seen := func(v int) bool { return p.visited[v] == epoch }
-	visit := func(v, idx int) {
-		p.visited[v] = epoch
-		p.index[v], p.low[v] = idx, idx
-		p.onStack[v] = true
-		p.stack = append(p.stack, v)
-	}
-	stackBase := len(p.stack)
+	members := p.compBuf[:0]
 	idx := 0
-	ncomp := 0
 
-	allowed := func(u, v int) bool {
-		if p.isBlocked(v) {
-			return false
+	push := func(v int) {
+		visited[v] = epoch
+		index[v], low[v] = idx, idx
+		idx++
+		onStack[v] = true
+		p.stack = append(p.stack, v)
+		sync, end := c.SyncStart(v), len(g.Succ(v))
+		if p.noSyncOutOf[v] == mark {
+			end = sync
 		}
-		if c.IsSyncEdge(u, v) && (p.noSyncOut(u) || p.noSyncIn(v)) {
-			return false
-		}
-		return true
+		p.frames = append(p.frames, sccFrame{v: v, sync: sync, end: end})
 	}
 
-	p.frames = append(p.frames[:0], sccFrame{start, 0})
-	visit(start, 0)
-	idx = 1
+	p.stack, p.frames = p.stack[:0], p.frames[:0]
+	push(start)
 	for len(p.frames) > 0 {
 		f := &p.frames[len(p.frames)-1]
 		v := f.v
-		if f.ei < len(g.Succ(v)) {
-			w := g.Succ(v)[f.ei]
+		succ := g.Succ(v)
+		descended := false
+		for f.ei < f.end {
+			i := f.ei
+			w := succ[i]
 			f.ei++
-			if !allowed(v, w) {
+			if blocked[w] == mark || (i >= f.sync && noSyncInto[w] == mark) {
 				continue
 			}
-			if !seen(w) {
-				visit(w, idx)
-				idx++
-				p.frames = append(p.frames, sccFrame{w, 0})
-			} else if p.onStack[w] && p.index[w] < p.low[v] {
-				p.low[v] = p.index[w]
+			if visited[w] != epoch {
+				push(w) // invalidates f
+				descended = true
+				break
 			}
+			if onStack[w] && index[w] < low[v] {
+				low[v] = index[w]
+			}
+		}
+		if descended {
 			continue
 		}
-		if p.low[v] == p.index[v] {
+		if low[v] == index[v] {
+			// v roots a component. start has index 0, so its component
+			// is the last one popped, and the only one kept.
 			for {
 				w := p.stack[len(p.stack)-1]
 				p.stack = p.stack[:len(p.stack)-1]
-				p.onStack[w] = false
-				p.compOf[w] = ncomp
+				onStack[w] = false
+				if v == start {
+					p.compMark[w] = epoch
+					members = append(members, w)
+				}
 				if w == v {
 					break
 				}
 			}
-			ncomp++
 		}
 		p.frames = p.frames[:len(p.frames)-1]
 		if len(p.frames) > 0 {
 			pv := p.frames[len(p.frames)-1].v
-			if p.low[v] < p.low[pv] {
-				p.low[pv] = p.low[v]
+			if low[v] < low[pv] {
+				low[pv] = low[v]
 			}
-		}
-	}
-	p.stack = p.stack[:stackBase]
-	startComp := p.compOf[start]
-
-	members := p.compBuf[:0]
-	for v := 0; v < n; v++ {
-		if p.visited[v] == epoch && p.compOf[v] == startComp {
-			members = append(members, v)
 		}
 	}
 	p.compBuf = members
 	if len(members) > 1 {
-		return members, true
+		return members
 	}
-	// Single-node component: nontrivial only with an allowed self-loop
+	// Single-node component: nontrivial only with a usable self-loop
 	// (the CLG construction never creates one, but stay defensive).
-	for _, w := range g.Succ(start) {
-		if w == start && allowed(start, start) {
-			return members, true
+	for i, w := range g.Succ(start) {
+		if w == start && (i < c.SyncStart(start) || !p.noSyncOut(start) && !p.noSyncIn(start)) {
+			return members
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// witnessNodes maps CLG component members back to deduplicated, sorted
-// sync-graph node ids for reporting. The dedup pass runs over an
-// epoch-stamped seen buffer instead of a fresh map — witness extraction
-// sits on the per-hypothesis hot path.
-func (p *probe) witnessNodes(comp []int) []int {
+// witness maps the last search's component back to deduplicated, sorted
+// sync-graph node ids for reporting. The result is probe-owned scratch,
+// valid until the next call: callers keep it through witnessSet.add,
+// which copies only witnesses not seen before. Members are stamped in an
+// epoch buffer indexed by sync-graph node, and a scan of that buffer
+// emits them in ascending order: linear, with no map and no sort.
+func (p *probe) witness() []int {
 	p.witEpoch++
-	out := make([]int, 0, len(comp))
-	for _, v := range comp {
-		o := p.a.CLG.Orig[v]
-		if p.witSeen[o] != p.witEpoch {
-			p.witSeen[o] = p.witEpoch
+	orig := p.a.CLG.Orig
+	for _, v := range p.compBuf {
+		p.witSeen[orig[v]] = p.witEpoch
+	}
+	out := p.witBuf[:0]
+	for o, stamp := range p.witSeen {
+		if stamp == p.witEpoch {
 			out = append(out, o)
 		}
 	}
-	sort.Ints(out)
+	p.witBuf = out
 	return out
 }

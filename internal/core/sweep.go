@@ -26,11 +26,45 @@ import (
 // ht is one head–tail hypothesis; t < 0 means a head-only hypothesis.
 type ht struct{ h, t int }
 
-// hypothesis is one unit of the sweep stream: one or more head(–tail)
-// pairs that must jointly survive in a single strong component.
-type hypothesis struct {
+// hypStream is a stream of hypotheses of one fixed arity, stored flat: a
+// hypothesis is arity head(–tail) pairs that must jointly survive in a
+// single strong component, and hypothesis i is
+// pairs[i*arity : (i+1)*arity]. One backing array per stream keeps
+// enumeration to a handful of allocations however long the stream is.
+type hypStream struct {
+	arity int
 	pairs []ht
 }
+
+// streamBufs recycles stream backing arrays across sweeps, so repeated
+// sweeps enumerate their streams without allocating.
+var streamBufs sync.Pool
+
+// newStream returns an empty stream of the given arity on a recycled
+// backing array when one is free.
+func newStream(arity int) hypStream {
+	s := hypStream{arity: arity}
+	if b, ok := streamBufs.Get().(*[]ht); ok {
+		s.pairs = (*b)[:0]
+	}
+	return s
+}
+
+// release hands the stream's backing array back for reuse. The stream
+// must not be read afterwards.
+func (s *hypStream) release() {
+	if cap(s.pairs) > 0 {
+		b := s.pairs[:0]
+		s.pairs = nil
+		streamBufs.Put(&b)
+	}
+}
+
+// len returns the number of hypotheses in the stream.
+func (s *hypStream) len() int { return len(s.pairs) / s.arity }
+
+// at returns hypothesis i.
+func (s *hypStream) at(i int) []ht { return s.pairs[i*s.arity : (i+1)*s.arity] }
 
 // workers returns the effective worker count for a stream of n
 // hypotheses: Parallelism when set, else GOMAXPROCS, never more than n.
@@ -48,65 +82,75 @@ func (a *Analyzer) workers(n int) int {
 	return w
 }
 
-// test runs one hypothesis on the probe and returns its witness (nil when
-// the hypothesis dies): mark every pair, search through the first head's
-// in-half, and require every hypothesized half-node in the component.
-func (p *probe) test(h *hypothesis) []int {
-	p.begin()
+// test runs one hypothesis on the probe and reports whether it survives:
+// mark every pair, search through the first head's in-half, and require
+// every hypothesized half-node in the component. On survival the
+// component stays in the probe for witness.
+func (p *probe) test(hyp []ht) bool {
 	p.hypothesesRun++
-	for _, pr := range h.pairs {
+	p.mark(hyp)
+	c := p.a.CLG
+	if p.sccThrough(c.In[hyp[0].h]) == nil {
+		return false
+	}
+	for i, pr := range hyp {
+		if i > 0 && !p.inComp(c.In[pr.h]) {
+			return false
+		}
+		if pr.t >= 0 && !p.inComp(c.Out[pr.t]) {
+			return false
+		}
+	}
+	return true
+}
+
+// mark opens a fresh hypothesis on the probe and applies the markings of
+// every pair in hyp.
+func (p *probe) mark(hyp []ht) {
+	p.begin()
+	for _, pr := range hyp {
 		if pr.t < 0 {
 			p.markHead(pr.h)
 		} else {
 			p.markHeadTail(pr.h, pr.t)
 		}
 	}
-	c := p.a.CLG
-	comp := p.sccThrough(c.In[h.pairs[0].h])
-	if comp == nil {
-		return nil
-	}
-	for i, pr := range h.pairs {
-		if i > 0 && !contains(comp, c.In[pr.h]) {
-			return nil
-		}
-		if pr.t >= 0 && !contains(comp, c.Out[pr.t]) {
-			return nil
-		}
-	}
-	return p.witnessNodes(comp)
 }
 
 // sweep tests every hypothesis and merges the results deterministically.
 // Hypotheses and SCCRuns count the full stream (each hypothesis costs
 // exactly one masked search, counted even when the start node is blocked,
-// matching the historical serial loops).
-func (a *Analyzer) sweep(algo Algorithm, hyps []hypothesis) Verdict {
-	v := Verdict{Algorithm: algo}
-	v.Hypotheses = len(hyps)
-	v.SCCRuns = len(hyps)
-	if len(hyps) == 0 {
+// matching the historical serial loops). sweep consumes the stream.
+func (a *Analyzer) sweep(algo Algorithm, hyps hypStream) Verdict {
+	defer hyps.release()
+	n := hyps.len()
+	v := Verdict{Algorithm: algo, Hypotheses: n, SCCRuns: n}
+	if n == 0 {
 		return v
 	}
 
-	nw := a.workers(len(hyps))
-	ws := witnessSet{}
+	nw := a.workers(n)
+	var ws witnessSet
 	if nw == 1 {
 		p := a.newProbe()
-		for i := range hyps {
-			if w := p.test(&hyps[i]); w != nil {
+		for i := 0; i < n; i++ {
+			if p.test(hyps.at(i)) {
 				v.MayDeadlock = true
-				ws.add(w)
+				ws.add(p.witness())
 			}
 		}
 		p.flushTrace(a.Trace)
-		a.recordWorkers(1, int64(len(hyps)))
+		a.recordWorkers(1, int64(n))
 		a.putProbe(p)
 		v.Witnesses = ws.list
 		return v
 	}
 
-	results := make([][]int, len(hyps))
+	// Workers keep their witnesses in a local set, so results[i] is the
+	// stored copy of hypothesis i's witness (nil when it died) and a
+	// repeat costs no copy. The merge dedups by content in index order,
+	// exactly as the serial loop does.
+	results := make([][]int, n)
 	probes := make([]*probe, nw)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -116,12 +160,15 @@ func (a *Analyzer) sweep(algo Algorithm, hyps []hypothesis) Verdict {
 			defer wg.Done()
 			p := a.newProbe()
 			probes[slot] = p
+			var local witnessSet
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(hyps) {
+				if i >= n {
 					return
 				}
-				results[i] = p.test(&hyps[i])
+				if p.test(hyps.at(i)) {
+					results[i] = local.add(p.witness())
+				}
 			}
 		}(w)
 	}
@@ -149,16 +196,19 @@ func (a *Analyzer) sweep(algo Algorithm, hyps []hypothesis) Verdict {
 // reports whether any hypothesis survives, stopping all workers as soon
 // as one does. Work counters and witness identity are intentionally not
 // tracked (they would be scheduling-dependent); nothing is traced.
-func (a *Analyzer) sweepAny(hyps []hypothesis) bool {
-	if len(hyps) == 0 {
+// sweepAny consumes the stream.
+func (a *Analyzer) sweepAny(hyps hypStream) bool {
+	defer hyps.release()
+	n := hyps.len()
+	if n == 0 {
 		return false
 	}
-	nw := a.workers(len(hyps))
+	nw := a.workers(n)
 	if nw == 1 {
 		p := a.newProbe()
 		defer a.putProbe(p)
-		for i := range hyps {
-			if p.test(&hyps[i]) != nil {
+		for i := 0; i < n; i++ {
+			if p.test(hyps.at(i)) {
 				return true
 			}
 		}
@@ -175,10 +225,10 @@ func (a *Analyzer) sweepAny(hyps []hypothesis) bool {
 			defer a.putProbe(p)
 			for !found.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(hyps) {
+				if i >= n {
 					return
 				}
-				if p.test(&hyps[i]) != nil {
+				if p.test(hyps.at(i)) {
 					found.Store(true)
 					return
 				}
@@ -201,60 +251,54 @@ func (a *Analyzer) recordWorkers(n int, maxPerWorker int64) {
 }
 
 // refinedHyps enumerates the single-head stream (the paper's main loop).
-func (a *Analyzer) refinedHyps() []hypothesis {
-	heads := a.PossibleHeads()
-	hyps := make([]hypothesis, len(heads))
-	for i, h := range heads {
-		hyps[i] = hypothesis{pairs: []ht{{h, -1}}}
+func (a *Analyzer) refinedHyps() hypStream {
+	s := newStream(1)
+	for _, h := range a.PossibleHeads() {
+		s.pairs = append(s.pairs, ht{h, -1})
 	}
-	return hyps
+	return s
 }
 
 // refinedPairHyps enumerates compatible head pairs in distinct tasks.
-func (a *Analyzer) refinedPairHyps() []hypothesis {
+func (a *Analyzer) refinedPairHyps() hypStream {
 	heads := a.PossibleHeads()
-	var hyps []hypothesis
+	s := newStream(2)
 	for i, h1 := range heads {
 		for _, h2 := range heads[i+1:] {
-			if !a.compatibleHeads(h1, h2) {
-				continue
+			if a.compatibleHeads(h1, h2) {
+				s.pairs = append(s.pairs, ht{h1, -1}, ht{h2, -1})
 			}
-			hyps = append(hyps, hypothesis{pairs: []ht{{h1, -1}, {h2, -1}}})
 		}
 	}
-	return hyps
+	return s
 }
 
-// headTailHyps enumerates (head, tail) pairs within one task.
-func (a *Analyzer) headTailHyps() []hypothesis {
-	var hyps []hypothesis
+// headTailHyps enumerates (head, tail) pairs within one task: each
+// possible head with each of its tail candidates.
+func (a *Analyzer) headTailHyps() hypStream {
+	s := newStream(1)
 	for _, h := range a.PossibleHeads() {
 		for _, t := range a.tailCandidates(h) {
-			hyps = append(hyps, hypothesis{pairs: []ht{{h, t}}})
+			s.pairs = append(s.pairs, ht{h, t})
 		}
 	}
-	return hyps
+	return s
 }
 
 // headTailPairHyps enumerates pairs of head–tail hypotheses whose heads
 // are compatible (distinct tasks, co-executable, unordered, no sync edge).
-func (a *Analyzer) headTailPairHyps() []hypothesis {
-	var singles []ht
-	for _, h := range a.PossibleHeads() {
-		for _, t := range a.tailCandidates(h) {
-			singles = append(singles, ht{h, t})
-		}
-	}
-	var hyps []hypothesis
-	for i, p1 := range singles {
-		for _, p2 := range singles[i+1:] {
-			if !a.compatibleHeads(p1.h, p2.h) {
-				continue
+func (a *Analyzer) headTailPairHyps() hypStream {
+	singles := a.headTailHyps()
+	defer singles.release()
+	s := newStream(2)
+	for i, p1 := range singles.pairs {
+		for _, p2 := range singles.pairs[i+1:] {
+			if a.compatibleHeads(p1.h, p2.h) {
+				s.pairs = append(s.pairs, p1, p2)
 			}
-			hyps = append(hyps, hypothesis{pairs: []ht{p1, p2}})
 		}
 	}
-	return hyps
+	return s
 }
 
 // kPairHyps enumerates sets of k pairwise-compatible head–tail hypotheses
@@ -262,30 +306,26 @@ func (a *Analyzer) headTailPairHyps() []hypothesis {
 // them, stopping after limit sets. The boolean reports overflow: one more
 // set existed beyond the limit, so the caller must not treat the stream
 // as exhaustive.
-func (a *Analyzer) kPairHyps(k, limit int) ([]hypothesis, bool) {
-	var singles []ht
-	for _, h := range a.PossibleHeads() {
-		for _, t := range a.tailCandidates(h) {
-			singles = append(singles, ht{h, t})
-		}
-	}
-	var hyps []hypothesis
+func (a *Analyzer) kPairHyps(k, limit int) (hypStream, bool) {
+	singles := a.headTailHyps()
+	defer singles.release()
+	s := newStream(k)
 	overflow := false
 	chosen := make([]ht, 0, k)
 	var rec func(start int) bool
 	rec = func(start int) bool {
 		if len(chosen) == k {
-			if len(hyps) >= limit {
+			if s.len() >= limit {
 				overflow = true
 				return false
 			}
-			hyps = append(hyps, hypothesis{pairs: append([]ht(nil), chosen...)})
+			s.pairs = append(s.pairs, chosen...)
 			return true
 		}
-		for i := start; i < len(singles); i++ {
+		for i := start; i < len(singles.pairs); i++ {
 			ok := true
 			for _, p := range chosen {
-				if !a.compatibleHeads(p.h, singles[i].h) {
+				if !a.compatibleHeads(p.h, singles.pairs[i].h) {
 					ok = false
 					break
 				}
@@ -293,7 +333,7 @@ func (a *Analyzer) kPairHyps(k, limit int) ([]hypothesis, bool) {
 			if !ok {
 				continue
 			}
-			chosen = append(chosen, singles[i])
+			chosen = append(chosen, singles.pairs[i])
 			cont := rec(i + 1)
 			chosen = chosen[:len(chosen)-1]
 			if !cont {
@@ -303,7 +343,7 @@ func (a *Analyzer) kPairHyps(k, limit int) ([]hypothesis, bool) {
 		return true
 	}
 	rec(0)
-	return hyps, overflow
+	return s, overflow
 }
 
 // Certify reports whether algo certifies the program free of infinite

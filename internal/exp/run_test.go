@@ -115,6 +115,37 @@ func TestRunLadder(t *testing.T) {
 	}
 }
 
+// TestLadderT6Counts pins the hypotheses and scc-runs columns of
+// EXPERIMENTS.md T6 (Pipeline(4,3)); only its time column is measured.
+func TestLadderT6Counts(t *testing.T) {
+	rows, err := RunLadder(workload.Pipeline(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[core.Algorithm][2]int{
+		core.AlgoNaive:                {1, 1},
+		core.AlgoRefined:              {14, 14},
+		core.AlgoRefinedPairs:         {53, 53},
+		core.AlgoRefinedHeadTail:      {27, 27},
+		core.AlgoRefinedHeadTailPairs: {162, 162},
+		core.AlgoRefinedKPairs:        {108, 108},
+	}
+	for _, r := range rows {
+		w, ok := want[r.Algorithm]
+		if !ok {
+			continue
+		}
+		if r.Hypotheses != w[0] || r.SCCRuns != w[1] {
+			t.Errorf("%v: hypotheses/scc-runs = %d/%d, want %d/%d",
+				r.Algorithm, r.Hypotheses, r.SCCRuns, w[0], w[1])
+		}
+		delete(want, r.Algorithm)
+	}
+	if len(want) != 0 {
+		t.Fatalf("ladder rows missing: %v", want)
+	}
+}
+
 func TestCanonicalUnsatRuns(t *testing.T) {
 	c2, c3, err := RunCanonicalUnsat()
 	if err != nil {

@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
@@ -81,6 +82,18 @@ func (g *Digraph) HasEdge(u, v int) bool {
 		}
 	}
 	return false
+}
+
+// SizeBytes returns the graph's resident footprint by capacity: the
+// digraph value, both per-node slice-header tables, and every successor
+// and predecessor list.
+func (g *Digraph) SizeBytes() int64 {
+	const word, header = 8, 24
+	sz := int64(unsafe.Sizeof(*g)) + int64(cap(g.succ)+cap(g.pred))*header
+	for v := range g.succ {
+		sz += int64(cap(g.succ[v])+cap(g.pred[v])) * word
+	}
+	return sz
 }
 
 // Succ returns the successor list of v. The slice is owned by the graph.
