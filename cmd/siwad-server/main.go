@@ -27,10 +27,10 @@
 //	-limits SPEC      per-analysis resource caps as tasks=N,nodes=N,
 //	                  unrolled=N (any subset), or "off" / "default"
 //	-cache N          result cache entries; 0 default (1024), -1 disables
-//	-stage-cache-mb N stage cache byte budget in MiB: memoized pipeline
-//	                  artifacts (parse+unroll, CLG + ordering tables,
-//	                  per-algorithm verdicts) keyed on the source digest;
-//	                  0 default (64), -1 disables
+//	-stage-cache-mb N stage cache byte budget in MiB: pipeline artifacts
+//	                  (parse+unroll, CLG + ordering tables, per-algorithm
+//	                  verdicts) kept per source digest; 0 default (64),
+//	                  -1 disables (every stage is built fresh)
 //	-max-body N       request body limit in bytes (default 4 MiB)
 //	-max-batch N      programs per batch request (default 256)
 //	-timeout D        default per-request analysis deadline (default 30s)

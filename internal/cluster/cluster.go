@@ -301,7 +301,10 @@ func New(cfg Config) (*Gateway, error) {
 	mux.HandleFunc("GET /debug/traces/{id}", g.handleTraceGet)
 	// Tracing wraps panic recovery so a recovered panic's 500 is observed
 	// by the status recorder and the trace is retained as errored.
-	g.handler = g.withTracing(g.recoverPanics(g.withRequestID(mux)))
+	// Fleet traces are usually born here, so this is where the
+	// head-sampling decision is made; the replicas inherit it through
+	// the traceparent flags.
+	g.handler = obs.HTTPTracing("gateway", g.exporter, g.logSlowRequest, g.recoverPanics(g.withRequestID(mux)))
 	return g, nil
 }
 

@@ -222,7 +222,7 @@ func (a *Analyzer) unconditionalFirst(w int) bool {
 // its cap, in which case no certification is made.
 func (a *Analyzer) Constraint4Certify(limit int) (deadlockFree, conclusive bool) {
 	cycles, complete := a.EnumerateCycles(limit)
-	if t := a.Trace; t != nil {
+	if t := a.trace; t != nil {
 		t.Add("cycles_enumerated", int64(len(cycles)))
 	}
 	if !complete {
@@ -230,7 +230,7 @@ func (a *Analyzer) Constraint4Certify(limit int) (deadlockFree, conclusive bool)
 	}
 	broken := 0
 	defer func() {
-		if t := a.Trace; t != nil {
+		if t := a.trace; t != nil {
 			t.Add("cycles_broken_by_outsider", int64(broken))
 		}
 	}()

@@ -95,30 +95,28 @@ type Verdict struct {
 // concurrent use — any number of goroutines may call the detector methods
 // on one shared Analyzer. All per-hypothesis mutable state (markings,
 // Tarjan scratch) lives in pooled probe values, never in the Analyzer.
-// The two exceptions to the read-only contract are the exported knobs
-// Parallelism and Trace, which callers set before handing the Analyzer
-// out. Trace aggregation is not synchronized across detector runs:
-// concurrent runs on one Analyzer require a nil Trace (the facade traces
-// only its own single-goroutine pipeline, so this composes).
+// Per-run knobs (sweep parallelism, trace span) are bound by Session,
+// which returns a view and leaves the shared value untouched.
 type Analyzer struct {
 	SG  *sg.Graph
 	CLG *clg.CLG
 	Ord *order.Info
 
-	// Parallelism caps the worker count of hypothesis sweeps. 0 (the
+	// parallelism caps the worker count of hypothesis sweeps. 0 (the
 	// default) means GOMAXPROCS; 1 forces serial execution; values above
 	// GOMAXPROCS are honored (useful for exercising the parallel path on
 	// small machines). Verdicts are identical at every setting.
-	Parallelism int
+	parallelism int
 
-	// Trace, when non-nil, receives the detector's work counters
+	// trace, when non-nil, receives the detector's work counters
 	// (hypotheses tested, SCC runs, nodes pruned by each marking rule,
-	// sweep worker counts). The facade points it at the active
-	// pipeline-stage span before each detector run; a nil Trace records
-	// nothing and costs one branch. Only the coordinating goroutine
-	// writes to it — workers accumulate privately and the sums are merged
-	// after each sweep, so totals match serial runs exactly.
-	Trace *obs.Span
+	// sweep worker counts). A nil trace records nothing and costs one
+	// branch. Only the coordinating goroutine writes to it — workers
+	// accumulate privately and the sums are merged after each sweep, so
+	// totals match serial runs exactly. Trace aggregation is not
+	// synchronized across detector runs, so a traced session must not run
+	// detectors concurrently.
+	trace *obs.Span
 
 	// Immutable hypothesis tables, materialized once at construction so
 	// the per-hypothesis hot path never recomputes or allocates them:
@@ -135,15 +133,15 @@ type Analyzer struct {
 }
 
 // Session returns a lightweight view of the analyzer binding per-run
-// knobs without mutating the shared value: the view aliases every
-// immutable table (and the probe pool) but carries its own Parallelism
-// and Trace. Stage caches that share one Analyzer per program digest
-// across concurrently running algorithms must run detectors through
-// sessions — writing the knobs on the shared Analyzer would race.
+// knobs — the sweep worker cap (0 = GOMAXPROCS, 1 = serial) and the span
+// that receives the detector's work counters (nil records nothing) —
+// without mutating the shared value: the view aliases every immutable
+// table (and the probe pool). It is the only way to set either knob, so
+// one Analyzer can serve concurrently running algorithms.
 func (a *Analyzer) Session(parallelism int, trace *obs.Span) *Analyzer {
 	s := *a
-	s.Parallelism = parallelism
-	s.Trace = trace
+	s.parallelism = parallelism
+	s.trace = trace
 	return &s
 }
 
@@ -317,7 +315,7 @@ func (a *Analyzer) Run(algo Algorithm) Verdict {
 // recordVerdict copies a verdict's work counts into the active trace span,
 // so stage spans expose the same numbers the Verdict always carried.
 func (a *Analyzer) recordVerdict(v Verdict) {
-	if t := a.Trace; t != nil {
+	if t := a.trace; t != nil {
 		t.Add("hypotheses", int64(v.Hypotheses))
 		t.Add("scc_runs", int64(v.SCCRuns))
 		t.Add("witnesses", int64(len(v.Witnesses)))

@@ -44,7 +44,7 @@ func (a *Analyzer) Enumerate(limit int) EnumerationVerdict {
 	v.CyclesSeen = len(cycles)
 	if !complete {
 		v.MayDeadlock = true
-		if t := a.Trace; t != nil {
+		if t := a.trace; t != nil {
 			t.Add("cycles_seen", int64(v.CyclesSeen))
 			t.Add("budget_exceeded", 1)
 		}
@@ -61,7 +61,7 @@ func (a *Analyzer) Enumerate(limit int) EnumerationVerdict {
 		ws.add(graph.Sorted(ci.Nodes))
 	}
 	v.Witnesses = ws.list
-	if t := a.Trace; t != nil {
+	if t := a.trace; t != nil {
 		t.Add("cycles_seen", int64(v.CyclesSeen))
 		t.Add("cycles_plausible", int64(v.CyclesPlausible))
 	}

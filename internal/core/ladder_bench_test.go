@@ -53,8 +53,7 @@ func BenchmarkDetectLadder(b *testing.B) {
 		if cfg.HasLoops(p) {
 			p = cfg.Unroll(p)
 		}
-		a := NewAnalyzer(sg.MustFromProgram(p))
-		a.Parallelism = 1
+		a := NewAnalyzer(sg.MustFromProgram(p)).Session(1, nil)
 		for r, algo := range ladderRungs {
 			v := a.Run(algo)
 			if v.MayDeadlock != lc.alarm[r] || v.Hypotheses != lc.hyps[r] || len(v.Witnesses) != lc.witnesses[r] {

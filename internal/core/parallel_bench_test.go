@@ -26,9 +26,7 @@ import (
 func crossRingAnalyzer(b *testing.B, parallelism int) *Analyzer {
 	b.Helper()
 	g := sg.MustFromProgram(workload.CrossRing(32, 2))
-	a := NewAnalyzer(g)
-	a.Parallelism = parallelism
-	return a
+	return NewAnalyzer(g).Session(parallelism, nil)
 }
 
 func BenchmarkParallelSweep(b *testing.B) {

@@ -41,11 +41,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}
-		serial := NewAnalyzer(g)
-		serial.Parallelism = 1
+		serial := NewAnalyzer(g).Session(1, nil)
 		for _, par := range []int{3, 8} {
-			parallel := NewAnalyzer(g)
-			parallel.Parallelism = par
+			parallel := NewAnalyzer(g).Session(par, nil)
 			for _, algo := range sweepAlgorithms {
 				want := serial.Run(algo)
 				got := parallel.Run(algo)
@@ -59,8 +57,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// Certify must agree with the full verdict even though it
 		// early-cancels.
 		for _, algo := range sweepAlgorithms {
-			parallel := NewAnalyzer(g)
-			parallel.Parallelism = 4
+			parallel := NewAnalyzer(g).Session(4, nil)
 			if got, want := parallel.Certify(algo), !serial.Run(algo).MayDeadlock; got != want {
 				t.Fatalf("program %d, %v: Certify=%v, serial verdict says %v\nprogram:\n%s",
 					i, algo, got, want, p)
@@ -81,11 +78,9 @@ func TestParallelMatchesSerialDeterministicFamilies(t *testing.T) {
 		"clientserv": sg.MustFromProgram(workload.ClientServer(3)),
 	}
 	for name, g := range programs {
-		serial := NewAnalyzer(g)
-		serial.Parallelism = 1
+		serial := NewAnalyzer(g).Session(1, nil)
 		for _, par := range []int{2, 5, 16} {
-			parallel := NewAnalyzer(g)
-			parallel.Parallelism = par
+			parallel := NewAnalyzer(g).Session(par, nil)
 			for _, algo := range sweepAlgorithms {
 				t.Run(fmt.Sprintf("%s/%v/p%d", name, algo, par), func(t *testing.T) {
 					want := serial.Run(algo)

@@ -17,12 +17,10 @@ import (
 // are free of data races.
 func TestAnalyzerConcurrentUse(t *testing.T) {
 	g := sg.MustFromProgram(workload.CrossRing(8, 2))
-	a := NewAnalyzer(g)
-	a.Parallelism = 4
+	a := NewAnalyzer(g).Session(4, nil)
 
 	want := map[Algorithm]Verdict{}
-	ref := NewAnalyzer(g)
-	ref.Parallelism = 1
+	ref := NewAnalyzer(g).Session(1, nil)
 	for _, algo := range sweepAlgorithms {
 		want[algo] = ref.Run(algo)
 	}

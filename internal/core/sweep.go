@@ -67,9 +67,9 @@ func (s *hypStream) len() int { return len(s.pairs) / s.arity }
 func (s *hypStream) at(i int) []ht { return s.pairs[i*s.arity : (i+1)*s.arity] }
 
 // workers returns the effective worker count for a stream of n
-// hypotheses: Parallelism when set, else GOMAXPROCS, never more than n.
+// hypotheses: the session parallelism when set, else GOMAXPROCS, never more than n.
 func (a *Analyzer) workers(n int) int {
-	w := a.Parallelism
+	w := a.parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -139,7 +139,7 @@ func (a *Analyzer) sweep(algo Algorithm, hyps hypStream) Verdict {
 				ws.add(p.witness())
 			}
 		}
-		p.flushTrace(a.Trace)
+		p.flushTrace(a.trace)
 		a.recordWorkers(1, int64(n))
 		a.putProbe(p)
 		v.Witnesses = ws.list
@@ -175,7 +175,7 @@ func (a *Analyzer) sweep(algo Algorithm, hyps hypStream) Verdict {
 	wg.Wait()
 	var maxPerWorker int64
 	for _, p := range probes {
-		p.flushTrace(a.Trace)
+		p.flushTrace(a.trace)
 		if p.hypothesesRun > maxPerWorker {
 			maxPerWorker = p.hypothesesRun
 		}
@@ -244,7 +244,7 @@ func (a *Analyzer) sweepAny(hyps hypStream) bool {
 // claimed (a load-balance indicator; equals the stream length when
 // serial).
 func (a *Analyzer) recordWorkers(n int, maxPerWorker int64) {
-	if t := a.Trace; t != nil {
+	if t := a.trace; t != nil {
 		t.Add("workers", int64(n))
 		t.Add("hypotheses_per_worker", maxPerWorker)
 	}

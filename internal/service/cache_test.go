@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	siwa "repro"
@@ -67,6 +68,66 @@ func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 			t.Errorf("execution knob %q leaked into the cache key", name)
 		}
 	}
+}
+
+// TestKeyCoversEveryOption walks every field of siwa.Options — and, inside
+// it, waves.Options and any other nested struct — and sets one field at a
+// time to a non-zero value. Each field must either change the printed key
+// or come out of canonicalize zeroed. A field that does neither would let
+// a request that sets it be served another request's cached report, so a
+// new option fails here until Key prints it or canonicalize drops it.
+func TestKeyCoversEveryOption(t *testing.T) {
+	src := "task t is begin null; end;"
+	base := Key(src, siwa.Options{})
+	var walk func(path []int, typ reflect.Type, name string)
+	walk = func(path []int, typ reflect.Type, name string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			fpath := append(append([]int(nil), path...), i)
+			fname := name + "." + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(fpath, f.Type, fname)
+				continue
+			}
+			var opt siwa.Options
+			reflect.ValueOf(&opt).Elem().FieldByIndex(fpath).Set(nonZero(t, f.Type, fname))
+			if Key(src, opt) != base {
+				continue // printed by Key
+			}
+			canon := canonicalize(opt)
+			if !reflect.ValueOf(&canon).Elem().FieldByIndex(fpath).IsZero() {
+				t.Errorf("%s is neither printed by Key nor zeroed by canonicalize", fname)
+			}
+		}
+	}
+	walk(nil, reflect.TypeOf(siwa.Options{}), "Options")
+}
+
+// nonZero returns a non-zero value of typ that differs from every
+// default canonicalize substitutes.
+func nonZero(t *testing.T, typ reflect.Type, name string) reflect.Value {
+	v := reflect.New(typ).Elem()
+	switch typ.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(typ.Elem()))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(typ, func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, typ.NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(typ.Out(i))
+			}
+			return out
+		}))
+	default:
+		t.Fatalf("%s: no non-zero value for kind %s; extend nonZero", name, typ.Kind())
+	}
+	return v
 }
 
 func TestCacheLRU(t *testing.T) {

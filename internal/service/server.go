@@ -74,7 +74,7 @@ func New(cfg Config) *Server {
 	}
 	// Tracing wraps panic recovery so the 500 a recovered panic writes is
 	// observed by the status recorder and the trace is retained as errored.
-	s.handler = s.withTracing(s.recoverPanics(s.withRequestID(mux)))
+	s.handler = obs.HTTPTracing("server", s.exporter, s.logSlowRequest, s.recoverPanics(s.withRequestID(mux)))
 	return s
 }
 

@@ -1,10 +1,13 @@
-// Memoized analysis pipeline: AnalyzeSourceContext keyed on the SHA-256
-// content address of the program source.
+// The analysis pipeline behind every entry point (Analyze, AnalyzeContext,
+// AnalyzeSource, AnalyzeSourceContext), grouped into stage groups that
+// each run as one transaction on Options.StageCache, keyed on the SHA-256
+// content address of the program source. A nil cache builds every group
+// fresh, so the uncached and cached analyses are the same code.
 //
 // The paper's pipeline is strictly staged, and everything up to the
 // detector sweep depends only on the source (plus the FIFO refinement
-// flag, which rewrites the sync graph). The stage cache exploits that
-// shape with three memoization layers:
+// flag, which rewrites the sync graph). The stage groups follow that
+// shape:
 //
 //	src:<digest>              parse + inline + Lemma-1 unroll artifacts
 //	an:<digest>:f<fifo>       sync graph (post-FIFO) + CLG + ordering tables
@@ -21,23 +24,24 @@
 //
 // Immutability discipline: cached artifacts are shared by every request
 // that hits them, concurrently. The sync graph, analyzer tables and
-// programs are read-only after construction (the PR-4 contract); per-run
-// knobs (Parallelism, Trace) live on core.Analyzer.Session views, never
-// on the shared Analyzer. Report fields populated from the cache must be
-// treated as read-only by callers.
+// programs are read-only after construction; per-run knobs (parallelism,
+// trace) are bound by core.Analyzer.Session views, never on the shared
+// Analyzer. Report fields populated from the cache must be treated as
+// read-only by callers.
 //
 // Resource limits are NOT part of any key: they are service policy, not
 // content. Builds run under the requester's limits (so an unroll bomb is
 // still refused by arithmetic before allocation), and every request —
-// hit or miss — rechecks its own limits against the cached artifact's
-// actual counts, so a cache warmed by a generous caller cannot smuggle
-// an oversized program past a strict one.
+// hit or miss — rechecks its own limits against the artifact's actual
+// counts, so a cache warmed by a generous caller cannot smuggle an
+// oversized program past a strict one.
 package siwa
 
 import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -69,20 +73,12 @@ func AnalyzeSource(src string, opt Options) (*Report, error) {
 
 // AnalyzeSourceContext is AnalyzeSource with cooperative cancellation
 // (see AnalyzeContext for the cancellation and containment contract).
-// With a nil Options.StageCache it is exactly Parse + AnalyzeContext;
-// with a cache it memoizes shared-prefix artifacts on the source digest,
+// With a cache it memoizes shared-prefix artifacts on the source digest,
 // so repeated analyses of one source — including with different
 // algorithms — skip the already-built stages. Parse errors surface
 // exactly as from Parse.
 func AnalyzeSourceContext(ctx context.Context, src string, opt Options) (*Report, error) {
-	if opt.StageCache == nil {
-		prog, err := Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		return AnalyzeContext(ctx, prog, opt)
-	}
-	return analyzeMemo(ctx, src, opt)
+	return analyze(ctx, src, nil, opt)
 }
 
 // srcEntry is the front-end artifact: the parsed program with procedures
@@ -165,24 +161,38 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// analyzeMemo is the memoized twin of AnalyzeContext: the same stages
-// under the same discipline (deadline gate, span, fault point, panic
-// containment), with each memoizable stage group wrapped in a
-// single-flight cache transaction. On a hit the group is replaced by a
+// analyze is the one pipeline: the paper's stages under one discipline
+// (deadline gate, span, fault point, panic containment — see
+// stageRunner), with each stage group wrapped in a single-flight
+// transaction on opt.StageCache. On a hit the group is replaced by a
 // zero-work span carrying stage_cache=hit, so traces and per-stage
-// service metrics still account for every stage.
-func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) {
+// service metrics still account for every stage. A nil cache builds
+// every group fresh and leaves the cache attributes off the trace.
+//
+// prog, when non-nil, is an already-parsed program: there is no parse
+// stage and no source to key on, so the caller passes a nil cache.
+func analyze(ctx context.Context, src string, prog *Program, opt Options) (*Report, error) {
 	mc := opt.StageCache
-	digest := memo.SourceDigest(src)
-	dk := digest.Key()
-
 	tr := opt.Tracer
 	if tr == nil && opt.Trace {
 		tr = obs.NewTracer()
 	}
 	root := tr.Start("analyze") // nil span when tracing is off
 	defer root.End()
-	root.SetAttr("source_digest", digest.String())
+	var dk string
+	if mc != nil {
+		digest := memo.SourceDigest(src)
+		dk = digest.Key()
+		root.SetAttr("source_digest", digest.String())
+	}
+	// key joins a stage-cache key; a nil cache ignores keys, so none is
+	// built.
+	key := func(parts ...string) string {
+		if mc == nil {
+			return ""
+		}
+		return strings.Join(parts, "")
+	}
 	stage := stageRunner(ctx, root)
 
 	hits, misses := 0, 0
@@ -196,14 +206,20 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 	// missSpan marks a stage span as built by this request (the flight
 	// leader); followers that waited on the flight record a hit.
 	missSpan := func(sp *Span) {
-		sp.SetAttr("stage_cache", "miss")
+		if mc != nil {
+			sp.SetAttr("stage_cache", "miss")
+		}
 	}
 
 	// --- Front end: parse + inline + unroll, keyed on the digest alone.
-	fv, built, err := doEntry(ctx, mc, "src:"+dk, func() (memo.Entry, error) {
+	fv, built, err := doEntry(ctx, mc, key("src:", dk), func() (memo.Entry, error) {
 		misses++
-		e := &srcEntry{}
-		if err := stage("parse", func(sp *Span) error {
+		e := &srcEntry{prog: prog, inlined: prog, unrolled: prog}
+		if prog != nil {
+			if err := prog.Validate(); err != nil {
+				return nil, err
+			}
+		} else if err := stage("parse", func(sp *Span) error {
 			missSpan(sp)
 			p, err := Parse(src)
 			if err != nil {
@@ -286,7 +302,7 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 	}
 
 	// --- Mid pipeline: sync graph + FIFO + CLG/ordering tables.
-	gv, built, err := doEntry(ctx, mc, "an:"+dk+fifoKey, func() (memo.Entry, error) {
+	gv, built, err := doEntry(ctx, mc, key("an:", dk, fifoKey), func() (memo.Entry, error) {
 		misses++
 		e := &graphEntry{}
 		if err := stage("sync-graph", func(sp *Span) error {
@@ -340,9 +356,17 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 		Graph:       ge.graph,
 		FIFORemoved: ge.fifoRemoved,
 		Trace:       root,
-		// A Session copy, not the shared Analyzer: advanced callers may
-		// set its knobs without racing other requests on the same digest.
+		// A session view binding this request's parallelism; the shared
+		// Analyzer itself is never written.
 		Analyzer: ge.analyzer.Session(opt.Parallelism, nil),
+	}
+	// session binds this request's knobs for one detector stage; an
+	// untraced stage reuses the report's session.
+	session := func(sp *Span) *core.Analyzer {
+		if sp == nil {
+			return rep.Analyzer
+		}
+		return ge.analyzer.Session(opt.Parallelism, sp)
 	}
 	degrade := func(reason string) {
 		rep.Degraded = true
@@ -353,13 +377,13 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 	// selected algorithm and the spectrum share entries, so AllAlgorithms
 	// on a warm source is five hits.
 	runAlgo := func(name string, algo Algorithm) (Verdict, error) {
-		key := "vd:" + dk + fifoKey + ":" + strconv.Itoa(int(algo))
-		v, built, err := doEntry(ctx, mc, key, func() (memo.Entry, error) {
+		k := key("vd:", dk, fifoKey, ":", strconv.Itoa(int(algo)))
+		v, built, err := doEntry(ctx, mc, k, func() (memo.Entry, error) {
 			misses++
 			var out Verdict
 			if err := stage(name, func(sp *Span) error {
 				missSpan(sp)
-				out = ge.analyzer.Session(opt.Parallelism, sp).Run(algo)
+				out = session(sp).Run(algo)
 				return nil
 			}); err != nil {
 				return nil, err
@@ -392,12 +416,12 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 	}
 
 	if opt.Constraint4 && rep.Deadlock.MayDeadlock {
-		v, built, err := doEntry(ctx, mc, "c4:"+dk+fifoKey, func() (memo.Entry, error) {
+		v, built, err := doEntry(ctx, mc, key("c4:", dk, fifoKey), func() (memo.Entry, error) {
 			misses++
 			e := &c4Entry{}
 			if err := stage("constraint4", func(sp *Span) error {
 				missSpan(sp)
-				e.free, e.conclusive = ge.analyzer.Session(opt.Parallelism, sp).Constraint4Certify(0)
+				e.free, e.conclusive = session(sp).Constraint4Certify(0)
 				return nil
 			}); err != nil {
 				return nil, err
@@ -416,7 +440,7 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 
 	// --- Stall balance, keyed on the digest alone: it reads the inlined
 	// program, so FIFO (a sync-graph rewrite) cannot change it.
-	sv, built, err := doEntry(ctx, mc, "st:"+dk, func() (memo.Entry, error) {
+	sv, built, err := doEntry(ctx, mc, key("st:", dk), func() (memo.Entry, error) {
 		misses++
 		e := &stallEntry{}
 		if err := stage("stall", func(sp *Span) error {
@@ -450,13 +474,13 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 		if cerr := ctx.Err(); cerr != nil && opt.Degrade {
 			degrade("enumeration skipped: " + cerr.Error())
 		} else {
-			key := "en:" + dk + fifoKey + ":" + strconv.Itoa(lim)
-			v, built, err := doEntry(ctx, mc, key, func() (memo.Entry, error) {
+			k := key("en:", dk, fifoKey, ":", strconv.Itoa(lim))
+			v, built, err := doEntry(ctx, mc, k, func() (memo.Entry, error) {
 				misses++
 				e := &enumEntry{}
 				if err := stage("enumerate", func(sp *Span) error {
 					missSpan(sp)
-					e.v = ge.analyzer.Session(opt.Parallelism, sp).Enumerate(lim)
+					e.v = session(sp).Enumerate(lim)
 					return nil
 				}); err != nil {
 					return nil, err
@@ -478,6 +502,7 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 	}
 
 	switch {
+	case mc == nil: // no cache, no rollup
 	case misses == 0:
 		root.SetAttr("stage_cache", "hit")
 	case hits == 0:

@@ -16,10 +16,12 @@ import (
 // reportDigestsFile holds one line per (program, rung): the SHA-256 of
 // the marshalled JSONReport. Regenerate only when a report is meant to
 // change: go test -run TestReportDigests -update-report-digests .
+// The flag rewrites every digest file whose test runs, so select the
+// test with -run.
 const reportDigestsFile = "testdata/report_digests.txt"
 
 var updateReportDigests = flag.Bool("update-report-digests", false,
-	"rewrite "+reportDigestsFile+" from the current code")
+	"rewrite the report digest files of the selected tests from the current code")
 
 // digestRungs is the detector ladder the service's clients climb, by
 // registry name.
@@ -77,27 +79,40 @@ func TestReportDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.label, rung, err)
 			}
-			data, err := json.Marshal(rep.JSONReport())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(data)
-			got = append(got, p.label+" "+rung+" "+hex.EncodeToString(sum[:]))
+			got = append(got, p.label+" "+rung+" "+reportDigest(t, rep))
 		}
 	}
+	matchDigestFile(t, reportDigestsFile, got)
+}
+
+// reportDigest is the SHA-256 of the marshalled JSONReport, hex-encoded.
+func reportDigest(t *testing.T, rep *Report) string {
+	t.Helper()
+	data, err := json.Marshal(rep.JSONReport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// matchDigestFile compares got line by line against the checked-in digest
+// file, or rewrites the file under -update-report-digests.
+func matchDigestFile(t *testing.T, file string, got []string) {
+	t.Helper()
 	if *updateReportDigests {
-		if err := os.WriteFile(reportDigestsFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(reportDigestsFile)
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(got) != len(want) {
-		t.Fatalf("%d digests, %s has %d", len(got), reportDigestsFile, len(want))
+		t.Fatalf("%d digests, %s has %d", len(got), file, len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
